@@ -14,8 +14,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Ablation studies for the design choices called out in DESIGN.md. Each
-// isolates one mechanism and quantifies its contribution.
+// Ablation studies for the paper's design choices. Each isolates one
+// mechanism and quantifies its contribution.
 
 func init() {
 	register(Experiment{ID: "ablate-pagecache", Title: "Ablation: controller page cache on/off (Table 1 read asymmetry)", Run: runAblatePageCache})

@@ -1,8 +1,7 @@
 // Package harness defines one runnable experiment per table and figure of
-// the paper's evaluation (§5), plus ablations of the design choices called
-// out in DESIGN.md. Each experiment builds its devices, runs the paper's
-// workload in virtual time, and prints rows comparable to the published
-// ones. EXPERIMENTS.md records paper-vs-measured for every run.
+// the paper's evaluation (§5), plus ablations of its design choices. Each
+// experiment builds its devices, runs the paper's workload in virtual
+// time, and prints rows comparable to the published ones.
 package harness
 
 import (
@@ -108,11 +107,12 @@ var registry []Experiment
 // register wraps each experiment so the global lightnvm registry is
 // emptied when its Run returns: experiments register fresh devices every
 // run and never revisit them afterwards, and a registry entry pins the
-// whole simulated media (NAND arenas included) as live heap. Without the
-// sweep, a process running experiments back to back — the determinism
-// test suite, a multi-experiment lnvm-bench invocation — accumulates
-// every prior run's device state, and later experiments spend their time
-// in GC cycles scanning it (quick fig5 after fig4: 4s -> 120s wall).
+// whole simulated device (NAND page tables and stored pages included) as
+// live heap. Without the sweep, a process running experiments back to
+// back — the determinism test suite, a multi-experiment lnvm-bench
+// invocation — accumulates every prior run's device state, and later
+// experiments spend their time in GC cycles scanning it (quick fig5 after
+// fig4: 4s -> 120s wall).
 func register(e Experiment) {
 	run := e.Run
 	e.Run = func(o Options, w io.Writer) error {

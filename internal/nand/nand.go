@@ -131,24 +131,40 @@ type block struct {
 	writePtr int // pages [0, writePtr) are programmed
 	pe       int
 	bad      bool
-	// data/oob hold only pages written with a real payload; synthetic
-	// writes (nil payload) track state via writePtr alone, keeping large
-	// simulated devices cheap in host memory. Payloads point into the
-	// per-erase-cycle arenas: one allocation per block cycle instead of
-	// one per page. Erase drops the arenas rather than recycling them, so
-	// a reader still holding a pre-erase slice sees stable bytes.
-	data      map[int][]byte
-	oob       map[int][]byte
-	dataArena []byte
-	oobArena  []byte
+	// pages is the block's page table, allocated the first time a program
+	// carries bytes (payload or OOB) or a page loses its charge, and
+	// cleared, not freed, at erase. Synthetic writes (nil payload, no OOB)
+	// track state via writePtr alone, keeping large simulated devices
+	// cheap in host memory.
+	pages []pageSlot
+	// oob holds the OOB bytes of every page of the current erase cycle,
+	// page i at [i*OOBPerPage, i*OOBPerPage+pages[i].oobLen): one slab per
+	// block cycle instead of one allocation per page.
+	oob []byte
 	// programNS is the virtual time the block was first programmed after
 	// its last erase (retention clock origin); reads counts page reads
-	// since the last erase (read disturb). corrupt marks pages whose
-	// charge was destroyed by a failed program (the page itself and, on
-	// MLC, the paired lower page).
+	// since the last erase (read disturb).
 	programNS int64
 	reads     int
-	corrupt   map[int]bool
+}
+
+// pageSlot is one page's entry in its block's page table.
+//
+// Stored bytes are stable: a program always installs fresh memory (the
+// adopted payload buffer, a fresh region of the cycle's OOB slab) and
+// erase drops that memory rather than recycling it, so a reader still
+// holding a slice from an earlier read sees the content it read even
+// after the page is erased and reprogrammed.
+type pageSlot struct {
+	// data is the page payload, adopted from Program; nil for pages
+	// programmed without a payload (readers treat that as zeros).
+	data []byte
+	// oobLen is the length of the page's OOB in the block's slab; 0 when
+	// the page was programmed without OOB.
+	oobLen int32
+	// corrupt marks a page whose charge was destroyed by a failed program
+	// (the page itself and, on MLC, the paired lower page).
+	corrupt bool
 }
 
 // Die is one NAND die: the unit of parallelism (one I/O at a time).
@@ -245,24 +261,27 @@ func (d *Die) lowerOf(page int) int {
 	return page - s
 }
 
-// loseCharge destroys a programmed page's content: its payload is dropped
-// and subsequent reads fail uncorrectably.
-func (b *block) loseCharge(page int) {
-	if b.data != nil {
-		delete(b.data, page)
+// slot returns a page's entry in its block's page table, allocating the
+// table on first use.
+func (d *Die) slot(b *block, page int) *pageSlot {
+	if b.pages == nil {
+		b.pages = make([]pageSlot, d.dims.PagesPerBlock)
 	}
-	if b.oob != nil {
-		delete(b.oob, page)
-	}
-	if b.corrupt == nil {
-		b.corrupt = make(map[int]bool)
-	}
-	b.corrupt[page] = true
+	return &b.pages[page]
+}
+
+// loseCharge destroys a programmed page's content: its payload and OOB are
+// dropped and subsequent reads fail uncorrectably.
+func (d *Die) loseCharge(b *block, page int) {
+	*d.slot(b, page) = pageSlot{corrupt: true}
 }
 
 // Program writes one full page (payload data plus oob) at the given address.
-// data may be nil for synthetic workloads (reads then return zeros). The
-// sequential-in-block and erase-before-write constraints are enforced.
+// data may be nil for synthetic workloads (reads then return zeros). A
+// non-nil data buffer is adopted, not copied: it becomes the stored page,
+// so the caller must hand over a freshly allocated buffer and never write
+// to it again. oob is copied. The sequential-in-block and
+// erase-before-write constraints are enforced.
 // A failed program leaves the page unreadable and the write pointer advanced,
 // matching real media where the block content is suspect after failure.
 func (d *Die) Program(plane, blockIdx, page int, data, oob []byte) error {
@@ -295,38 +314,27 @@ func (d *Die) Program(plane, blockIdx, page int, data, oob []byte) error {
 		// Content of the failed page is lost; on MLC (strict pairing), a
 		// failed upper-page program also destroys the charge of its
 		// already-programmed lower pair (§2.2).
-		b.loseCharge(page)
+		d.loseCharge(b, page)
 		if d.cfg.StrictPairRead {
 			if lower := d.lowerOf(page); lower >= 0 && lower < b.writePtr {
-				b.loseCharge(lower)
+				d.loseCharge(b, lower)
 				d.Stats.PairCorruptions++
 			}
 		}
 		return ErrWriteFail
 	}
-	if data != nil {
-		if b.data == nil {
-			b.data = make(map[int][]byte)
-		}
-		pb := d.dims.PageBytes()
-		if b.dataArena == nil {
-			b.dataArena = make([]byte, pb*d.dims.PagesPerBlock)
-		}
-		dst := b.dataArena[page*pb : (page+1)*pb]
-		copy(dst, data)
-		b.data[page] = dst
+	if data == nil && len(oob) == 0 {
+		return nil
 	}
+	slot := d.slot(b, page)
+	slot.data = data
 	if len(oob) > 0 {
-		if b.oob == nil {
-			b.oob = make(map[int][]byte)
-		}
 		ob := d.dims.OOBPerPage
-		if b.oobArena == nil {
-			b.oobArena = make([]byte, ob*d.dims.PagesPerBlock)
+		if b.oob == nil {
+			b.oob = make([]byte, ob*d.dims.PagesPerBlock)
 		}
-		dst := b.oobArena[page*ob : page*ob+len(oob)]
-		copy(dst, oob)
-		b.oob[page] = dst
+		copy(b.oob[page*ob:], oob)
+		slot.oobLen = int32(len(oob))
 	}
 	return nil
 }
@@ -334,11 +342,12 @@ func (d *Die) Program(plane, blockIdx, page int, data, oob []byte) error {
 // Read returns the payload and OOB of a programmed page. Unwritten pages
 // return ErrUnwritten. Under StrictPairRead, a lower page in a still-open
 // block whose upper pair is unprogrammed returns ErrPairIncomplete.
-// The returned slices are the stored pages themselves and must be treated
+// The returned slices are the stored bytes themselves and must be treated
 // as read-only; they stay valid (with their content at read time) even
 // across a later erase or reprogram of the page, because programming
-// always installs a fresh buffer. Pages programmed with an unspecified
-// (nil) payload return nil data; readers treat that as zeros.
+// always installs fresh memory and erase drops it (see pageSlot). Pages
+// programmed with an unspecified (nil) payload return nil data; readers
+// treat that as zeros, and pages programmed without OOB return nil oob.
 func (d *Die) Read(plane, blockIdx, page int) (data, oob []byte, err error) {
 	data, oob, _, err = d.ReadRetry(plane, blockIdx, page)
 	return data, oob, err
@@ -377,7 +386,11 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
-	if b.corrupt[page] {
+	var slot pageSlot
+	if b.pages != nil {
+		slot = b.pages[page]
+	}
+	if slot.corrupt {
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
@@ -394,7 +407,12 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		retries = need
 		d.Stats.ReadRetries += int64(need)
 	}
-	return b.data[page], b.oob[page], retries, nil
+	if slot.oobLen > 0 {
+		lo := page * d.dims.OOBPerPage
+		hi := lo + int(slot.oobLen)
+		oob = b.oob[lo:hi:hi]
+	}
+	return slot.data, oob, retries, nil
 }
 
 // rawBER evaluates the deterministic raw bit-error-rate model for a block:
@@ -452,15 +470,12 @@ func (d *Die) Erase(plane, blockIdx int) error {
 		}
 	}
 	b.writePtr = 0
-	// Reuse the map buckets across cycles; the arenas are dropped (not
+	// Keep the page table across cycles but drop the stored bytes (not
 	// recycled) so in-flight readers of pre-erase pages stay safe.
-	clear(b.data)
-	clear(b.oob)
-	b.dataArena = nil
-	b.oobArena = nil
+	clear(b.pages)
+	b.oob = nil
 	b.programNS = 0
 	b.reads = 0
-	clear(b.corrupt)
 	return nil
 }
 

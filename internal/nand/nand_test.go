@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -486,5 +487,83 @@ func TestQuickProgramReadConsistency(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Reads return the stored bytes themselves, and callers (device
+// completions, pblk's GC ring) keep them past the read: a slice obtained
+// before an erase must keep its content when the block is erased and the
+// page reprogrammed with other bytes.
+func TestReadSlicesStableAcrossEraseAndReprogram(t *testing.T) {
+	d := newTestDie(DefaultConfig())
+	pb := smallDims().PageBytes()
+	if err := d.Program(0, 1, 0, bytes.Repeat([]byte{0xaa}, pb), []byte("first-oob")); err != nil {
+		t.Fatal(err)
+	}
+	data, oob, err := d.Read(0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Erase(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Program(0, 1, 0, bytes.Repeat([]byte{0x55}, pb), []byte("other-oob")); err != nil {
+		t.Fatal(err)
+	}
+	data2, oob2, err := d.Read(0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data2, bytes.Repeat([]byte{0x55}, pb)) || string(oob2) != "other-oob" {
+		t.Fatalf("reprogrammed page reads back wrong: data[0]=%#x oob=%q", data2[0], oob2)
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{0xaa}, pb)) {
+		t.Fatalf("pre-erase data slice changed: data[0]=%#x", data[0])
+	}
+	if string(oob) != "first-oob" {
+		t.Fatalf("pre-erase oob slice changed: %q", oob)
+	}
+}
+
+// Host memory for the media must scale with the bytes programmed, not with
+// the device size. pblk-style traffic puts OOB on every page but a payload
+// (line metadata) on only one page per block; user data rides as nil
+// payloads. Every block of a die is programmed that way and the heap growth
+// is bounded by a small multiple of the stored bytes plus a per-block
+// constant (the page table), so payload memory sized by the block rather
+// than by the page fails it.
+func TestHeapScalesWithPayload(t *testing.T) {
+	dims := Dims{Planes: 2, BlocksPerPlane: 16, PagesPerBlock: 256, SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64}
+	blocks := dims.Planes * dims.BlocksPerPlane
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	d := NewDie(dims, DefaultConfig(), rand.New(rand.NewSource(1)))
+	oob := bytes.Repeat([]byte{0x5a}, dims.OOBPerPage)
+	for p := 0; p < dims.Planes; p++ {
+		for b := 0; b < dims.BlocksPerPlane; b++ {
+			for pg := 0; pg < dims.PagesPerBlock; pg++ {
+				var data []byte
+				if pg == 0 {
+					data = make([]byte, dims.PageBytes())
+				}
+				if err := d.Program(p, b, pg, data, oob); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	stored := int64(blocks * (dims.PageBytes() + dims.PagesPerBlock*dims.OOBPerPage))
+	const perBlock = 16 << 10
+	limit := 2*stored + int64(blocks)*perBlock
+	t.Logf("heap grew %d B for %d B stored in %d blocks (limit %d B)", grown, stored, blocks, limit)
+	if grown > limit {
+		t.Fatalf("media heap %d B exceeds 2 x %d B stored + %d B per block", grown, stored, perBlock)
 	}
 }

@@ -106,8 +106,7 @@ type Timing struct {
 	CompleteLatency time.Duration
 }
 
-// DefaultTiming matches the paper's Table 1 characterization (see DESIGN.md
-// for the calibration).
+// DefaultTiming matches the paper's Table 1 characterization.
 func DefaultTiming() Timing {
 	return Timing{
 		PageRead:    65 * time.Microsecond,
@@ -865,10 +864,9 @@ type puTask struct {
 	occStep      time.Duration
 	afterOcc     int
 
-	// Program staging buffers, reused across ops (the NAND die copies
-	// them on Program).
-	pageBuf []byte
-	oobBuf  []byte
+	// Program OOB staging buffer, reused across ops (the NAND die copies
+	// the OOB on Program; payload pages are allocated per program).
+	oobBuf []byte
 
 	stepFn func() // == step, bound once so scheduling it never allocates
 }
@@ -1355,11 +1353,9 @@ func (t *puTask) commitProgram(op *flashOp) {
 			}
 		}
 		if havePayload {
-			if cap(t.pageBuf) < g.PageSize() {
-				t.pageBuf = make([]byte, g.PageSize())
-			}
-			pageData = t.pageBuf[:g.PageSize()]
-			clear(pageData)
+			// A fresh page per program: the die adopts it as the stored
+			// page, and completions of later reads alias it.
+			pageData = make([]byte, g.PageSize())
 			for _, i := range op.idx[pi] {
 				if cmd.Data != nil && cmd.Data[i] != nil {
 					copy(pageData[cmd.Addrs[i].Sector*g.SectorSize:], cmd.Data[i])
